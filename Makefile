@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench bench-update docs-lint
+.PHONY: all build vet test race check chaos chaos-mc chaos-scale partition-race metrics-smoke transport-race bench bench-update perfbench-test docs-lint
 
 all: check
 
@@ -117,6 +117,12 @@ bench-update:
 	$(GO) test -run '^$$' -bench '$(BENCH_PATTERN)' -benchmem -count=1 . | tee $(BENCH_DIR)/bench.out
 	./bin/dfibench benchjson -update $(BENCH_FILE) < $(BENCH_DIR)/bench.out
 
+# The perfbench module (BENCHMARK.json's runner) is its own Go module, so
+# `go build ./...` never compiles it; vet and test it here so a change in
+# internal/ cannot break the benchmark silently.
+perfbench-test:
+	cd perfbench && $(GO) vet . && $(GO) test .
+
 # Documentation hygiene: every package has a godoc package comment,
 # every relative Markdown link/anchor resolves (GitHub slug rules;
 # external URLs are not fetched, so the check is offline-deterministic),
@@ -125,4 +131,4 @@ bench-update:
 docs-lint:
 	$(GO) run ./cmd/docslint
 
-check: build vet race chaos-mc chaos-scale metrics-smoke transport-race docs-lint
+check: build vet race chaos-mc chaos-scale metrics-smoke transport-race perfbench-test docs-lint

@@ -22,12 +22,11 @@ import (
 // implementation; none of the figure reproductions use it.
 
 // elasticState is the registry-shared mutable membership of an elastic
-// flow. The simulation is single-threaded, so plain fields suffice; the
-// condition wakes targets waiting for membership changes.
+// flow. The simulation is single-threaded, so plain fields suffice;
+// targets poll it for membership changes.
 type elasticState struct {
 	attached int
 	sealed   bool
-	cond     transport.Cond
 }
 
 // validateElastic finishes spec validation for elastic flows.
@@ -67,7 +66,6 @@ func AttachSource(p transport.Ctx, reg Registry, name string, ep Endpoint) (*Sou
 	idx := es.attached
 	es.attached++
 	spec.Sources = append(spec.Sources, ep)
-	es.cond.Broadcast() // wake targets polling membership
 
 	s := &Source{meta: meta, spec: spec, idx: idx, node: ep.Node, reg: reg}
 	if err := s.acquireSourceLease(p, reg, name); err != nil {
@@ -84,7 +82,6 @@ func Seal(p transport.Ctx, reg Registry, name string) error {
 		return fmt.Errorf("dfi: flow %q is not elastic", name)
 	}
 	meta.elastic.sealed = true
-	meta.elastic.cond.Broadcast()
 	return nil
 }
 

@@ -605,7 +605,7 @@ func FlowInit(p transport.Ctx, reg Registry, cluster transport.Transport, spec F
 		}
 	}
 	if spec.Options.Elastic {
-		meta.elastic = &elasticState{attached: len(spec.Sources), cond: cluster.NewCond()}
+		meta.elastic = &elasticState{attached: len(spec.Sources)}
 	}
 	if spec.Options.Multicast {
 		nodes := make([]transport.Endpoint, len(spec.Targets))

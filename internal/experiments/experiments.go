@@ -26,9 +26,6 @@ type Options struct {
 	Seed int64
 }
 
-// DefaultOptions returns full-scale settings.
-func DefaultOptions() Options { return Options{Seed: 1} }
-
 // Table is one rendered result: a titled grid of rows matching a figure's
 // series.
 type Table struct {
@@ -117,15 +114,6 @@ func ByID(id string) (Experiment, bool) {
 		}
 	}
 	return Experiment{}, false
-}
-
-// IDs returns all experiment IDs, sorted as listed.
-func IDs() []string {
-	ids := make([]string, len(All))
-	for i, e := range All {
-		ids[i] = e.ID
-	}
-	return ids
 }
 
 // gibps formats a bytes-per-second value in GiB/s.

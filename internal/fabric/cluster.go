@@ -72,9 +72,6 @@ func NewCluster(k *sim.Kernel, n int, cfg Config) *Cluster {
 // Config returns the cluster's cost model.
 func (c *Cluster) Config() Config { return c.cfg }
 
-// SetCopyPayload toggles payload copying at runtime (see Config.CopyPayload).
-func (c *Cluster) SetCopyPayload(v bool) { c.cfg.CopyPayload = v }
-
 // Nodes returns the number of nodes.
 func (c *Cluster) Nodes() int { return len(c.nodes) }
 
@@ -114,11 +111,8 @@ type Node struct {
 
 	atomicFreeAt sim.Time // responder-side serialization of remote atomics
 
-	memBytes  int64 // registered memory (accounting, §6.1.4)
-	bytesTx   int64
-	bytesRx   int64
-	msgsTx    int64
-	atomicsRx int64
+	memBytes int64 // registered memory (accounting, §6.1.4)
+	bytesTx  int64
 
 	txBusy time.Duration // cumulative serialization time reserved on TX
 	rxBusy time.Duration
@@ -133,9 +127,6 @@ func (n *Node) RxBusy() time.Duration { return n.rxBusy }
 
 // ID returns the node index within its cluster.
 func (n *Node) ID() int { return n.id }
-
-// Cluster returns the owning cluster.
-func (n *Node) Cluster() *Cluster { return n.cluster }
 
 // Compute advances p's virtual time by d scaled by the node's CPU speed.
 // All application CPU work in experiments must be charged through Compute
@@ -152,12 +143,6 @@ func (n *Node) RegisteredBytes() int64 { return n.memBytes }
 
 // BytesTx returns the total payload bytes transmitted by the node's NIC.
 func (n *Node) BytesTx() int64 { return n.bytesTx }
-
-// BytesRx returns the total payload bytes received by the node's NIC.
-func (n *Node) BytesRx() int64 { return n.bytesRx }
-
-// MessagesTx returns the number of messages transmitted.
-func (n *Node) MessagesTx() int64 { return n.msgsTx }
 
 // reserveTx reserves serialization time on the node's TX link starting no
 // earlier than `from`, returning the (start, end) of the reservation. Used
@@ -238,12 +223,6 @@ func (mr *MemoryRegion) Deregister() {
 // Bytes exposes the region's backing memory. Local reads/writes by the
 // owning node's processes are free (they model plain loads/stores).
 func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
-
-// Len returns the region size.
-func (mr *MemoryRegion) Len() int { return len(mr.buf) }
-
-// Node returns the owning node.
-func (mr *MemoryRegion) Node() *Node { return mr.node }
 
 // Owner returns the owning node as a transport endpoint.
 func (mr *MemoryRegion) Owner() transport.Endpoint { return mr.node }

@@ -232,10 +232,3 @@ func (fp *FaultPlan) dupDelay() time.Duration {
 	}
 	return fp.DuplicateDelay
 }
-
-// SetFaults installs (or clears, with nil) the cluster's fault plan at
-// runtime.
-func (c *Cluster) SetFaults(fp *FaultPlan) { c.cfg.Faults = fp }
-
-// Faults returns the cluster's fault plan (nil when fault-free).
-func (c *Cluster) Faults() *FaultPlan { return c.cfg.Faults }

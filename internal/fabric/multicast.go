@@ -53,9 +53,6 @@ func (c *Cluster) CreateMulticast(members ...*Node) *MulticastGroup {
 // Reattach can replace it.
 func (g *MulticastGroup) Detach(i int) { g.detached[i] = true }
 
-// Detached reports whether member i is currently detached.
-func (g *MulticastGroup) Detached(i int) bool { return g.detached[i] }
-
 // Reattach re-joins slot i to the group on node n with a fresh endpoint
 // (empty receive queue, fresh CQ) and resumes switch-side replication to
 // it. Stale receives posted by the slot's previous incarnation are gone —
@@ -93,12 +90,6 @@ func (ep *McEndpoint) PostRecv(buf []byte, id uint64) {
 // RecvCQ returns the endpoint's receive completion queue.
 func (ep *McEndpoint) RecvCQ() transport.CompletionQueue { return ep.rcq }
 
-// Node returns the endpoint's node.
-func (ep *McEndpoint) Node() *Node { return ep.node }
-
-// Owner returns the endpoint's node as a transport endpoint.
-func (ep *McEndpoint) Owner() transport.Endpoint { return ep.node }
-
 // DropCount returns the number of messages lost at this endpoint.
 func (ep *McEndpoint) DropCount() int64 { return ep.Drops }
 
@@ -115,7 +106,6 @@ func (g *MulticastGroup) Send(p transport.Ctx, from *Node, src []byte, excludeSe
 	ser := cfg.serialization(len(src))
 	txStart, txEnd := from.reserveTx(k.Now()+cfg.NICStartup, ser)
 	from.bytesTx += int64(len(src))
-	from.msgsTx++
 
 	var staged []byte
 	k.At(txEnd, func() {
@@ -164,7 +154,6 @@ func (g *MulticastGroup) deliver(ep *McEndpoint, from sim.Time, ser sim.Time, st
 		wr := ep.recvq[0]
 		ep.recvq = ep.recvq[1:]
 		n := copy(wr.Buf, *staged)
-		ep.node.bytesRx += int64(n)
 		ep.rcq.push(Completion{ID: wr.ID, Op: OpRecv, Bytes: n, Buf: wr.Buf})
 	}
 	k.At(rxEnd+fv.delay, func() {

@@ -202,12 +202,6 @@ func (c *Cluster) CreateQPPair(a, b *Node) (*QP, *QP) {
 	return qa, qb
 }
 
-// Owner returns the node this endpoint belongs to.
-func (q *QP) Owner() *Node { return q.owner }
-
-// Peer returns the opposite endpoint.
-func (q *QP) Peer() *QP { return q.peer }
-
 // SendCQ returns the endpoint's send completion queue.
 func (q *QP) SendCQ() transport.CompletionQueue { return q.scq }
 
@@ -326,8 +320,6 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 	}
 
 	q.owner.bytesTx += int64(len(src))
-	q.owner.msgsTx++
-	q.peer.owner.bytesRx += int64(len(src))
 	disp := Delivered
 	if fv.drop {
 		disp = Dropped
@@ -555,8 +547,6 @@ func (q *QP) Read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 	fv := q.c.fault(OpRead, q.owner, q.peer.owner, rxEnd)
 	deliverAt := rxEnd + fv.delay
 
-	q.owner.msgsTx++
-	q.owner.bytesRx += int64(len(dst))
 	q.peer.owner.bytesTx += int64(len(dst))
 	disp := Delivered
 	if fv.drop {
@@ -689,7 +679,6 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 	}
 	execEnd := execStart + cfg.AtomicRemoteCost
 	q.peer.owner.atomicFreeAt = execEnd
-	q.peer.owner.atomicsRx++
 
 	arriveResp := execEnd + ser + hop // control lane
 	if fv.drop {
@@ -697,7 +686,6 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 		// once, the caller just pays an extra round trip for the redo.
 		arriveResp += ser + hop + ser + hop
 	}
-	q.owner.msgsTx++
 
 	q.c.trace(OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
 	var old uint64
@@ -744,12 +732,10 @@ func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 
 	}
 	execEnd := execStart + cfg.AtomicRemoteCost
 	q.peer.owner.atomicFreeAt = execEnd
-	q.peer.owner.atomicsRx++
 	arriveResp := execEnd + ser + hop // control lane
 	if fv.drop {
 		arriveResp += ser + hop + ser + hop // transport retry, see FetchAdd
 	}
-	q.owner.msgsTx++
 
 	q.c.trace(OpCompareSwap, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
 	var old uint64
@@ -811,8 +797,6 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 	}
 
 	q.owner.bytesTx += int64(len(src))
-	q.owner.msgsTx++
-	q.peer.owner.bytesRx += int64(len(src))
 	disp := Delivered
 	if fv.drop {
 		disp = Dropped

@@ -1,8 +1,6 @@
 package fabric
 
 import (
-	"time"
-
 	"dfi/internal/sim"
 	"dfi/internal/transport"
 )
@@ -54,11 +52,6 @@ func (c *Cluster) Multicast(members ...transport.Endpoint) transport.Group {
 	return mcGroup{g: c.CreateMulticast(nodes...)}
 }
 
-// NewCond returns a condition variable parked on the sim kernel.
-func (c *Cluster) NewCond() transport.Cond {
-	return simCond{c: sim.NewCond(c.K)}
-}
-
 // Spawn starts fn as a new sim process named name.
 func (c *Cluster) Spawn(parent transport.Ctx, name string, fn func(transport.Ctx)) {
 	proc(parent).Spawn(name, func(sp *sim.Proc) { fn(sp) })
@@ -71,16 +64,6 @@ func (c *Cluster) CopiesPayload() bool { return c.cfg.CopyPayload }
 // SwitchEndpoint returns a fresh in-network-processing endpoint.
 func (c *Cluster) SwitchEndpoint() transport.Endpoint { return c.NewSwitchNode() }
 
-// simCond adapts *sim.Cond to transport.Cond.
-type simCond struct{ c *sim.Cond }
-
-func (s simCond) Wait(p transport.Ctx) { s.c.Wait(proc(p)) }
-func (s simCond) WaitTimeout(p transport.Ctx, d time.Duration) bool {
-	return s.c.WaitTimeout(proc(p), d)
-}
-func (s simCond) Signal()    { s.c.Signal() }
-func (s simCond) Broadcast() { s.c.Broadcast() }
-
 // mcGroup adapts *MulticastGroup to transport.Group.
 type mcGroup struct{ g *MulticastGroup }
 
@@ -88,20 +71,9 @@ func (m mcGroup) Send(p transport.Ctx, from transport.Endpoint, src []byte, excl
 	m.g.Send(p, node(from), src, excludeSelf)
 }
 
-func (m mcGroup) Members() int { return m.g.Members() }
-
 func (m mcGroup) Member(i int) transport.GroupEndpoint { return m.g.Member(i) }
 
-func (m mcGroup) EndpointFor(ep transport.Endpoint) transport.GroupEndpoint {
-	if e := m.g.EndpointFor(node(ep)); e != nil {
-		return e
-	}
-	return nil
-}
-
 func (m mcGroup) Detach(i int) { m.g.Detach(i) }
-
-func (m mcGroup) Detached(i int) bool { return m.g.Detached(i) }
 
 func (m mcGroup) Reattach(i int, ep transport.Endpoint) transport.GroupEndpoint {
 	return m.g.Reattach(i, node(ep))

@@ -73,9 +73,6 @@ type Gauge struct {
 // Set replaces the gauge value.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
-// SetInt replaces the gauge value with an integer.
-func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
 // Add adjusts the gauge by d (atomically, via CAS).
 func (g *Gauge) Add(d float64) {
 	for {

@@ -26,7 +26,7 @@ func TestCounterGaugeRender(t *testing.T) {
 	}
 	r.Counter("dfi_tuples_pushed_total", "", Labels{"slot": "1"}).Add(7)
 	g := r.Gauge("dfi_epoch", "Membership epoch.", nil)
-	g.SetInt(3)
+	g.Set(3)
 	r.Gauge("dfi_bandwidth_mbps", "", nil).Set(1234.5)
 
 	var b bytes.Buffer

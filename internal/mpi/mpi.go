@@ -7,7 +7,7 @@
 //   - Point-to-point Send/Recv with tag matching and a per-message
 //     software overhead (an optimized RDMA-backed MPI still pays its
 //     progress engine and matching logic on every message).
-//   - One-sided Put into pre-exposed windows.
+//   - One-sided PutAsync into pre-exposed windows, completed by Fence.
 //   - Bulk-synchronous collectives (Barrier, Alltoall): every rank blocks
 //     until all ranks arrive, so no compute/communication overlap and full
 //     straggler sensitivity.
@@ -125,14 +125,8 @@ func NewWorld(c *fabric.Cluster, nodes []*fabric.Node, cfg Config) *World {
 	return w
 }
 
-// Size returns the number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
 // Rank returns rank i.
 func (w *World) Rank(i int) *Rank { return w.ranks[i] }
-
-// ID returns the rank index.
-func (r *Rank) ID() int { return r.id }
 
 // Node returns the node the rank runs on.
 func (r *Rank) Node() *fabric.Node { return r.node }
@@ -236,24 +230,6 @@ func (r *Rank) ExposeWindow(size int) *fabric.MemoryRegion {
 
 // Window returns the rank's exposed window.
 func (r *Rank) Window() *fabric.MemoryRegion { return r.window }
-
-// Put writes buf into dst's window at off (one-sided MPI_Put) and blocks
-// until the local buffer is reusable.
-func (r *Rank) Put(p *sim.Proc, dst int, off int, buf []byte) {
-	r.enter(p)
-	target := r.w.ranks[dst]
-	if target.window == nil {
-		panic("mpi: Put to rank without an exposed window")
-	}
-	qp := r.qps[dst]
-	qp.Write(p, buf, fabric.Addr{MR: target.window, Off: off}, fabric.WriteOptions{Signaled: true})
-	for {
-		c := qp.SendCQ().Wait(p)
-		if c.Op == fabric.OpWrite {
-			return
-		}
-	}
-}
 
 // Barrier blocks until every rank has entered it (each rank pays the
 // collective setup cost).

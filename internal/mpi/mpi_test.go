@@ -60,20 +60,6 @@ func TestRecvTagMatchingOutOfOrder(t *testing.T) {
 	}
 }
 
-func TestPutOneSided(t *testing.T) {
-	k, w := newWorld(t, 2)
-	win := w.Rank(1).ExposeWindow(128)
-	k.Spawn("r0", func(p *sim.Proc) {
-		w.Rank(0).Put(p, 1, 32, []byte("one-sided"))
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(win.Bytes()[32:41], []byte("one-sided")) {
-		t.Fatalf("window = %q", win.Bytes()[32:41])
-	}
-}
-
 func TestBarrierSynchronizes(t *testing.T) {
 	k, w := newWorld(t, 4)
 	var after []sim.Time
@@ -235,10 +221,10 @@ func TestPutWithoutWindowPanics(t *testing.T) {
 	k.Spawn("r0", func(p *sim.Proc) {
 		defer func() {
 			if recover() == nil {
-				t.Error("Put without window did not panic")
+				t.Error("PutAsync without window did not panic")
 			}
 		}()
-		w.Rank(0).Put(p, 1, 0, []byte("x"))
+		w.Rank(0).PutAsync(p, 1, 0, []byte("x"))
 	})
 	_ = k.Run()
 }

@@ -13,6 +13,9 @@
 // acquisition, condition waits) advance virtual time; plain Go code runs
 // instantaneously in virtual time.
 //
+// A kernel is never shared across goroutines outside this baton passing;
+// host parallelism means independent kernels, one per goroutine.
+//
 // The kernel is the substrate for the simulated RDMA fabric
 // (dfi/internal/fabric) on which the DFI flow implementation runs.
 package sim
@@ -107,17 +110,6 @@ type Kernel struct {
 	Deadline Time
 
 	nevents uint64
-
-	// horizon bounds how far this kernel may advance on its own when it is
-	// one shard of a ShardGroup: events at or past the horizon wait for the
-	// next window, and the Sleep fast path declines to cross it. Zero means
-	// unbounded (the classic single-kernel mode).
-	horizon Time
-
-	// group/shardID identify this kernel's place in a ShardGroup (group is
-	// nil for a classic standalone kernel).
-	group   *ShardGroup
-	shardID int
 }
 
 // New returns a kernel whose random source is seeded with seed. Two kernels
@@ -383,37 +375,17 @@ func (k *Kernel) dispatch(e *event) {
 	}
 }
 
-// nextAt peeks the earliest pending instant across the event and timeout
-// heaps without popping. ok is false when both are empty.
-func (k *Kernel) nextAt() (Time, bool) {
-	switch {
-	case len(k.events) == 0 && len(k.tmos) == 0:
-		return 0, false
-	case len(k.events) == 0:
-		return k.tmos[0].at, true
-	case len(k.tmos) == 0:
-		return k.events[0].at, true
-	case k.tmos[0].at < k.events[0].at:
-		return k.tmos[0].at, true
-	default:
-		return k.events[0].at, true
-	}
-}
-
-// runUntil processes events strictly before horizon w (0 means unbounded)
-// and returns nil when the heaps drain or every remaining entry is at or
-// past w. The horizon is also installed for the Sleep fast path, so a
-// shard's clock can never overrun its window.
-func (k *Kernel) runUntil(w Time) error {
-	k.horizon = w
-	defer func() { k.horizon = 0 }()
+// Run processes events until none remain, a process panics, MaxEvents is
+// exceeded, or the Deadline passes. It returns an error describing abnormal
+// termination; a deadlock (live processes parked with no pending events) is
+// reported with the parked process names.
+func (k *Kernel) Run() error {
 	for {
 		if k.failure != nil {
 			return k.failure
 		}
-		at, ok := k.nextAt()
-		if !ok || (w > 0 && at >= w) {
-			return nil
+		if len(k.events) == 0 && len(k.tmos) == 0 {
+			break
 		}
 		if k.MaxEvents > 0 && k.nevents >= k.MaxEvents {
 			return fmt.Errorf("sim: exceeded MaxEvents=%d at t=%v (possible livelock)", k.MaxEvents, k.now)
@@ -425,19 +397,6 @@ func (k *Kernel) runUntil(w Time) error {
 		k.now = e.at
 		k.nevents++
 		k.dispatch(&e)
-	}
-}
-
-// Run processes events until none remain, a process panics, MaxEvents is
-// exceeded, or the Deadline passes. It returns an error describing abnormal
-// termination; a deadlock (live processes parked with no pending events) is
-// reported with the parked process names.
-func (k *Kernel) Run() error {
-	if err := k.runUntil(0); err != nil {
-		return err
-	}
-	if k.failure != nil {
-		return k.failure
 	}
 	if k.nlive > 0 {
 		return k.deadlockErr()
@@ -469,12 +428,6 @@ type Proc struct {
 	timedOut   bool // set by an evTimeout event matching the current park
 	tmoIdx     int  // index of the pending timeout in Kernel.tmos, -1 if none
 }
-
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Kernel returns the owning kernel.
-func (p *Proc) Kernel() *Kernel { return p.k }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.k.now }
@@ -531,15 +484,14 @@ func (p *Proc) Sleep(d Time) {
 	//     prior segments without a single goroutine switch.
 	//
 	// Anything else — a process transition (start/timer/wake/timeout), a
-	// tie at exactly t, the deadline, the event budget, a shard horizon —
-	// parks, so Run (or the shard window loop) keeps control of
-	// termination and (at, seq) dispatch order stays byte-identical.
+	// tie at exactly t, the deadline, the event budget — parks, so Run
+	// keeps control of termination and (at, seq) dispatch order stays
+	// byte-identical.
 	for {
 		if (len(k.events) == 0 || t < k.events[0].at) &&
 			(len(k.tmos) == 0 || t < k.tmos[0].at) &&
 			(k.Deadline <= 0 || t <= k.Deadline) &&
-			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) &&
-			(k.horizon <= 0 || t < k.horizon) {
+			(k.MaxEvents <= 0 || k.nevents+2 < k.MaxEvents) {
 			k.now = t
 			k.nevents += 2 // the timer+wake pair this replaces
 			return
@@ -558,8 +510,7 @@ func (p *Proc) Sleep(d Time) {
 			}
 		}
 		if (k.Deadline > 0 && e.at > k.Deadline) ||
-			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) ||
-			(k.horizon > 0 && e.at >= k.horizon) {
+			(k.MaxEvents > 0 && k.nevents >= k.MaxEvents) {
 			break
 		}
 		ev := k.pop()

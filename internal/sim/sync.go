@@ -150,19 +150,6 @@ func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
 	return v, true
 }
 
-// TryRecv dequeues a value without blocking. ok reports whether a value was
-// received; closed reports a closed-and-drained channel.
-func (c *Chan[T]) TryRecv() (v T, ok, closed bool) {
-	if len(c.buf) == 0 {
-		var zero T
-		return zero, false, c.closed
-	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.sendq.Broadcast()
-	return v, true, false
-}
-
 // Len returns the number of buffered values.
 func (c *Chan[T]) Len() int { return len(c.buf) }
 
@@ -200,15 +187,6 @@ func (r *Resource) Acquire(p *Proc) {
 	r.inUse++
 }
 
-// TryAcquire claims a unit without blocking, reporting success.
-func (r *Resource) TryAcquire() bool {
-	if r.inUse >= r.cap {
-		return false
-	}
-	r.inUse++
-	return true
-}
-
 // Release returns one unit and wakes the next waiter.
 func (r *Resource) Release() {
 	if r.inUse <= 0 {
@@ -226,12 +204,6 @@ func (r *Resource) Use(p *Proc, d Time) {
 	p.Sleep(d)
 	r.Release()
 }
-
-// InUse returns the number of currently held units.
-func (r *Resource) InUse() int { return r.inUse }
-
-// QueueLen returns the number of processes waiting to acquire.
-func (r *Resource) QueueLen() int { return r.queue.Waiters() }
 
 // WaitGroup mirrors sync.WaitGroup for simulated processes.
 type WaitGroup struct {

@@ -152,27 +152,6 @@ func TestChanRecvOnClosedDrained(t *testing.T) {
 	}
 }
 
-func TestChanTryRecv(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 1)
-	k.Spawn("p", func(p *Proc) {
-		if _, ok, closed := ch.TryRecv(); ok || closed {
-			t.Error("TryRecv on empty open chan should be !ok, !closed")
-		}
-		ch.Send(p, 7)
-		if v, ok, _ := ch.TryRecv(); !ok || v != 7 {
-			t.Errorf("TryRecv = %d, %v", v, ok)
-		}
-		ch.Close()
-		if _, ok, closed := ch.TryRecv(); ok || !closed {
-			t.Error("TryRecv on closed drained chan should report closed")
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestResourceSerializes(t *testing.T) {
 	k := New(1)
 	r := NewResource(k, "link", 1)
@@ -210,26 +189,6 @@ func TestResourceCapacityTwoOverlaps(t *testing.T) {
 	// Two at a time: finish at 1ms, 1ms, 2ms, 2ms.
 	if ends[1] != time.Millisecond || ends[3] != 2*time.Millisecond {
 		t.Fatalf("ends = %v", ends)
-	}
-}
-
-func TestResourceTryAcquireAndRelease(t *testing.T) {
-	k := New(1)
-	r := NewResource(k, "latch", 1)
-	k.Spawn("p", func(p *Proc) {
-		if !r.TryAcquire() {
-			t.Error("TryAcquire on free resource failed")
-		}
-		if r.TryAcquire() {
-			t.Error("TryAcquire on held resource succeeded")
-		}
-		r.Release()
-		if r.InUse() != 0 {
-			t.Errorf("InUse = %d", r.InUse())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -115,13 +115,6 @@ func (n *Net) CopiesPayload() bool { return true }
 // SwitchEndpoint returns an auxiliary endpoint for in-network compute.
 func (n *Net) SwitchEndpoint() transport.Endpoint { return n.NewEndpoint() }
 
-// NewCond returns a condition variable for goroutine contexts.
-func (n *Net) NewCond() transport.Cond {
-	c := &cond{}
-	c.ch = make(chan struct{})
-	return c
-}
-
 // ctx is a wall-clock execution context owned by one goroutine.
 type ctx struct {
 	net *Net
@@ -181,9 +174,6 @@ func (n *Net) OpenRegion(ep transport.Endpoint, size int) transport.Region {
 
 // Bytes exposes the backing buffer (see the type comment for the rules).
 func (r *Region) Bytes() []byte { return r.buf }
-
-// Len returns the region size.
-func (r *Region) Len() int { return len(r.buf) }
 
 // Owner returns the owning endpoint.
 func (r *Region) Owner() transport.Endpoint { return r.owner }
@@ -260,42 +250,6 @@ func asRegion(a transport.Addr) *Region {
 		panic(fmt.Sprintf("chanloop: Addr region %T is not a chanloop region", a.MR))
 	}
 	return r
-}
-
-// cond is a broadcast-channel condition variable. Signal degrades to
-// Broadcast; every transport waiter re-checks its predicate in a loop,
-// so spurious wake-ups are harmless.
-type cond struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func (c *cond) current() chan struct{} {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.ch
-}
-
-func (c *cond) Wait(p transport.Ctx) { <-c.current() }
-
-func (c *cond) WaitTimeout(p transport.Ctx, d time.Duration) bool {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-c.current():
-		return true
-	case <-t.C:
-		return false
-	}
-}
-
-func (c *cond) Signal() { c.Broadcast() }
-
-func (c *cond) Broadcast() {
-	c.mu.Lock()
-	close(c.ch)
-	c.ch = make(chan struct{})
-	c.mu.Unlock()
 }
 
 // CQ is a completion queue: mutex-guarded entries plus a broadcast

@@ -86,18 +86,8 @@ func (ep *GroupEndpoint) PostRecv(buf []byte, id uint64) {
 // RecvCQ returns the member's receive completion queue.
 func (ep *GroupEndpoint) RecvCQ() transport.CompletionQueue { return ep.rcq }
 
-// Owner returns the endpoint this member receives on.
-func (ep *GroupEndpoint) Owner() transport.Endpoint { return ep.owner }
-
 // DropCount returns messages dropped for lack of a posted receive.
 func (ep *GroupEndpoint) DropCount() int64 { return ep.drops.Load() }
-
-// Members returns the member count.
-func (g *Group) Members() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.members)
-}
 
 // Member returns member i.
 func (g *Group) Member(i int) transport.GroupEndpoint {
@@ -106,31 +96,11 @@ func (g *Group) Member(i int) transport.GroupEndpoint {
 	return g.members[i]
 }
 
-// EndpointFor returns the member receiving on ep, or nil.
-func (g *Group) EndpointFor(ep transport.Endpoint) transport.GroupEndpoint {
-	e := asEndpoint(ep)
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, m := range g.members {
-		if m.owner == e {
-			return m
-		}
-	}
-	return nil
-}
-
 // Detach removes member i from delivery.
 func (g *Group) Detach(i int) {
 	g.mu.Lock()
 	g.detached[i] = true
 	g.mu.Unlock()
-}
-
-// Detached reports whether member i is detached.
-func (g *Group) Detached(i int) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.detached[i]
 }
 
 // Reattach re-adds slot i with a fresh receive queue on ep.

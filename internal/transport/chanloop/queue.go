@@ -241,10 +241,3 @@ func (q *Queue) PostRecv(buf []byte, id uint64) {
 	q.recvq = append(q.recvq, transport.RecvWR{Buf: buf, ID: id})
 	q.rmu.Unlock()
 }
-
-// PostedRecvs returns the number of posted, unconsumed receives.
-func (q *Queue) PostedRecvs() int {
-	q.rmu.Lock()
-	defer q.rmu.Unlock()
-	return len(q.recvq)
-}

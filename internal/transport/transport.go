@@ -66,7 +66,6 @@ type Endpoint interface {
 // remote verbs.
 type Region interface {
 	Bytes() []byte
-	Len() int
 	// Owner returns the endpoint the region is registered on.
 	Owner() Endpoint
 	// Deregister releases the region's registration.
@@ -211,8 +210,6 @@ type Queue interface {
 	Send(p Ctx, src []byte, signaled bool, id uint64)
 	// PostRecv posts a receive buffer for incoming SENDs.
 	PostRecv(buf []byte, id uint64)
-	// PostedRecvs returns the number of posted, unconsumed receives.
-	PostedRecvs() int
 	// SendCQ returns the completion queue of sends, writes, reads and
 	// atomics posted on this queue.
 	SendCQ() CompletionQueue
@@ -226,8 +223,6 @@ type GroupEndpoint interface {
 	PostRecv(buf []byte, id uint64)
 	// RecvCQ returns the member's receive completion queue.
 	RecvCQ() CompletionQueue
-	// Owner returns the endpoint this member receives on.
-	Owner() Endpoint
 	// DropCount returns sends dropped at this member for lack of a
 	// posted receive (unreliable datagram semantics).
 	DropCount() int64
@@ -240,29 +235,12 @@ type Group interface {
 	// Send multicasts src from the given endpoint to all attached
 	// members; excludeSelf skips the sender's own membership.
 	Send(p Ctx, from Endpoint, src []byte, excludeSelf bool)
-	// Members returns the member count (attached or not).
-	Members() int
 	// Member returns member i (nil when detached).
 	Member(i int) GroupEndpoint
-	// EndpointFor returns the member receiving on ep, or nil.
-	EndpointFor(ep Endpoint) GroupEndpoint
 	// Detach removes member i from delivery.
 	Detach(i int)
-	// Detached reports whether member i is detached.
-	Detached(i int) bool
 	// Reattach re-adds slot i with a fresh receive queue on ep.
 	Reattach(i int, ep Endpoint) GroupEndpoint
-}
-
-// Cond is a condition variable usable from transport contexts.
-type Cond interface {
-	// Wait parks the caller until Signal/Broadcast.
-	Wait(p Ctx)
-	// WaitTimeout is Wait bounded by d, reporting whether it was woken
-	// (true) or timed out (false).
-	WaitTimeout(p Ctx, d time.Duration) bool
-	Signal()
-	Broadcast()
 }
 
 // Transport is a backend: a factory for endposts' queues, regions and
@@ -275,8 +253,6 @@ type Transport interface {
 	OpenRegion(ep Endpoint, size int) Region
 	// Multicast creates an unreliable multicast group over members.
 	Multicast(members ...Endpoint) Group
-	// NewCond returns a condition variable for this backend's contexts.
-	NewCond() Cond
 	// Spawn starts fn on a new execution context named name (a sim
 	// process or a goroutine). parent is the spawning context.
 	Spawn(parent Ctx, name string, fn func(Ctx))
