@@ -16,8 +16,8 @@ import (
 // The benchjson subcommand turns `go test -bench -benchmem` output into a
 // JSON regression record and compares runs against a committed baseline:
 //
-//	go test -run '^$' -bench Fig7 -benchmem . | dfibench benchjson -update BENCH_PR9.json
-//	go test -run '^$' -bench Fig7 -benchmem . | dfibench benchjson -compare BENCH_PR9.json
+//	go test -run '^$' -bench Fig7 -benchmem . | dfibench benchjson -update BENCH_PR13.json
+//	go test -run '^$' -bench Fig7 -benchmem . | dfibench benchjson -compare BENCH_PR13.json
 //
 // Comparison policy: wall-clock ns/op may regress by at most the
 // tolerance (10% default, BENCH_TOLERANCE overrides); every custom

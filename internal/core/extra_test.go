@@ -157,13 +157,17 @@ func TestFreeReleasesMemory(t *testing.T) {
 				break
 			}
 		}
-		src.Free()
-		tgt.Free()
-		if b := e.c.Node(0).RegisteredBytes(); b != 0 {
-			t.Errorf("source node still holds %d registered bytes", b)
-		}
-		if b := e.c.Node(1).RegisteredBytes(); b != 0 {
-			t.Errorf("target node still holds %d registered bytes", b)
+		// Free is idempotent: the second round must not release the
+		// rings' bytes again (the accounting would go negative).
+		for round := 1; round <= 2; round++ {
+			src.Free()
+			tgt.Free()
+			if b := e.c.Node(0).RegisteredBytes(); b != 0 {
+				t.Errorf("after Free #%d: source node holds %d registered bytes", round, b)
+			}
+			if b := e.c.Node(1).RegisteredBytes(); b != 0 {
+				t.Errorf("after Free #%d: target node holds %d registered bytes", round, b)
+			}
 		}
 	})
 	e.run(t)

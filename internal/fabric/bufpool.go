@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"math/bits"
+
+	"dfi/internal/sim"
 )
 
 // The fabric snapshots ("stages") the bytes a NIC would DMA-read for every
@@ -105,4 +107,55 @@ func stageInto(dst, src []byte, body int, copyPayload bool) {
 		return
 	}
 	copy(dst[body:], src[body:])
+}
+
+// Registered regions are recycled too. A flow registers its rings when it
+// opens and deregisters them when it ends, so a cluster running flow after
+// flow would otherwise allocate (and zero) every ring afresh. Real RDMA
+// stacks amortize registration the same way: a freed region goes back to
+// a pool instead of to the OS.
+//
+// The reuse-before-completion hazard is modelled, not assumed away: a
+// WRITE reads its source at txEnd and commits at deliverAt, both possibly
+// after the region involved was deregistered. Every verb schedules all of
+// its memory-touching steps when it is posted, so the cluster keeps the
+// latest such instant as one running maximum (lastTouch). A deregistered
+// buffer is stamped with it and handed out again only once the kernel's
+// clock has passed the stamp.
+
+// freeRegion is a deregistered region's memory awaiting reuse.
+type freeRegion struct {
+	buf   []byte
+	after sim.Time // reusable once the clock is strictly past this
+}
+
+// touch records that a scheduled step reads or writes memory at t.
+func (c *Cluster) touch(t sim.Time) {
+	if t > c.lastTouch {
+		c.lastTouch = t
+	}
+}
+
+// regionGet returns size zeroed bytes for a new region: the oldest
+// recycled buffer of exactly that size if its quarantine has expired,
+// otherwise a fresh allocation. Stamps are taken from a running maximum,
+// so they never decrease along a size's list; if its head is not ready,
+// no entry is.
+func (c *Cluster) regionGet(size int) []byte {
+	fl := c.regionFree[size]
+	if len(fl) == 0 || fl[0].after >= c.K.Now() {
+		return make([]byte, size)
+	}
+	b := fl[0].buf
+	n := copy(fl, fl[1:])
+	fl[n] = freeRegion{}
+	c.regionFree[size] = fl[:n]
+	clear(b)
+	return b
+}
+
+// regionPut queues a deregistered region's memory for reuse once every
+// step scheduled so far has run.
+func (c *Cluster) regionPut(b []byte) {
+	c.regionFree[len(b)] = append(c.regionFree[len(b)], freeRegion{buf: b, after: c.lastTouch})
 }

@@ -54,11 +54,19 @@ type Cluster struct {
 	ropFree    []*readOp
 	srefFree   []*stagedRef
 	stagedFree [28][]*stagedBuf // staging buffers of capacity 1<<class
+
+	// regionFree recycles the memory of deregistered regions by exact
+	// size (see regionGet). lastTouch is the latest instant at which any
+	// step scheduled so far reads or writes memory; a buffer deregistered
+	// now is quarantined until then, so operations posted before the
+	// Deregister can never reach its next owner.
+	regionFree map[int][]freeRegion
+	lastTouch  sim.Time
 }
 
 // NewCluster creates n nodes attached to k using the given cost model.
 func NewCluster(k *sim.Kernel, n int, cfg Config) *Cluster {
-	c := &Cluster{K: k, cfg: cfg}
+	c := &Cluster{K: k, cfg: cfg, regionFree: make(map[int][]freeRegion)}
 	for i := 0; i < n; i++ {
 		c.nodes = append(c.nodes, &Node{
 			cluster:  c,
@@ -113,6 +121,13 @@ type Node struct {
 
 	memBytes int64 // registered memory (accounting, §6.1.4)
 	bytesTx  int64
+
+	// postedRecvs counts receives posted on the node's queues and
+	// multicast endpoints that no message has matched yet. Their buffers
+	// may live in a region, and their commit instant is unknown until a
+	// SEND arrives, so regions deregistered while any are pending are
+	// not recycled.
+	postedRecvs int
 
 	txBusy time.Duration // cumulative serialization time reserved on TX
 	rxBusy time.Duration
@@ -208,21 +223,42 @@ type MemoryRegion struct {
 	commitSeq uint64
 }
 
-// RegisterMemory allocates and registers size bytes on the node. The
-// allocation is charged to the node's registered-memory accounting.
+// RegisterMemory registers size zeroed bytes on the node, reusing the
+// memory of a deregistered region of the same size when one is out of
+// quarantine. The registration is charged to the node's registered-memory
+// accounting either way.
 func (c *Cluster) RegisterMemory(n *Node, size int) *MemoryRegion {
 	n.memBytes += int64(size)
-	return &MemoryRegion{node: n, buf: make([]byte, size), cond: sim.NewCond(c.K)}
+	return &MemoryRegion{node: n, buf: c.regionGet(size), cond: sim.NewCond(c.K)}
 }
 
-// Deregister releases the region's memory from the accounting.
+// Deregister releases the region's memory from the accounting and hands
+// it back to the cluster for reuse. Operations posted before the call
+// still complete into the old memory; the handle itself is dead, and any
+// later access through it panics. A second call is a no-op.
 func (mr *MemoryRegion) Deregister() {
-	mr.node.memBytes -= int64(len(mr.buf))
+	if mr.buf == nil {
+		return
+	}
+	n := mr.node
+	n.memBytes -= int64(len(mr.buf))
+	if n.postedRecvs == 0 {
+		n.cluster.regionPut(mr.buf)
+	}
+	mr.buf = nil
+}
+
+// mem returns the backing memory, panicking on a deregistered handle.
+func (mr *MemoryRegion) mem() []byte {
+	if mr.buf == nil {
+		panic("fabric: access through a deregistered MR")
+	}
+	return mr.buf
 }
 
 // Bytes exposes the region's backing memory. Local reads/writes by the
 // owning node's processes are free (they model plain loads/stores).
-func (mr *MemoryRegion) Bytes() []byte { return mr.buf }
+func (mr *MemoryRegion) Bytes() []byte { return mr.mem() }
 
 // Owner returns the owning node as a transport endpoint.
 func (mr *MemoryRegion) Owner() transport.Endpoint { return mr.node }
@@ -231,12 +267,12 @@ func (mr *MemoryRegion) Owner() transport.Endpoint { return mr.node }
 // single-threaded, so a plain copy is already synchronized with remote
 // verbs; concurrent backends lock here.
 func (mr *MemoryRegion) Store(off int, src []byte) {
-	copy(mr.buf[off:off+len(src)], src)
+	copy(mr.mem()[off:off+len(src)], src)
 }
 
 // Load copies region bytes at off into dst (see Store).
 func (mr *MemoryRegion) Load(off int, dst []byte) {
-	copy(dst, mr.buf[off:off+len(dst)])
+	copy(dst, mr.mem()[off:off+len(dst)])
 }
 
 // CommitSeq returns the region's commit counter, incremented on every
@@ -294,9 +330,9 @@ func mrOf(a Addr) *MemoryRegion {
 
 // sliceOf bounds-checks and returns the n-byte window at the address.
 func sliceOf(a Addr, n int) []byte {
-	mr := mrOf(a)
-	if a.Off < 0 || a.Off+n > len(mr.buf) {
-		panic(fmt.Sprintf("fabric: remote access [%d,%d) outside MR of %d bytes", a.Off, a.Off+n, len(mr.buf)))
+	buf := mrOf(a).mem()
+	if a.Off < 0 || a.Off+n > len(buf) {
+		panic(fmt.Sprintf("fabric: remote access [%d,%d) outside MR of %d bytes", a.Off, a.Off+n, len(buf)))
 	}
-	return mr.buf[a.Off : a.Off+n]
+	return buf[a.Off : a.Off+n]
 }

@@ -85,6 +85,7 @@ func (g *MulticastGroup) EndpointFor(n *Node) *McEndpoint {
 // must pre-populate the queue (DFI sizes it by its credit score).
 func (ep *McEndpoint) PostRecv(buf []byte, id uint64) {
 	ep.recvq = append(ep.recvq, RecvWR{Buf: buf, ID: id})
+	ep.node.postedRecvs++
 }
 
 // RecvCQ returns the endpoint's receive completion queue.
@@ -108,6 +109,7 @@ func (g *MulticastGroup) Send(p transport.Ctx, from *Node, src []byte, excludeSe
 	from.bytesTx += int64(len(src))
 
 	var staged []byte
+	g.c.touch(txEnd)
 	k.At(txEnd, func() {
 		staged = make([]byte, len(src))
 		copy(staged, src)
@@ -153,6 +155,7 @@ func (g *MulticastGroup) deliver(ep *McEndpoint, from sim.Time, ser sim.Time, st
 		}
 		wr := ep.recvq[0]
 		ep.recvq = ep.recvq[1:]
+		ep.node.postedRecvs--
 		n := copy(wr.Buf, *staged)
 		ep.rcq.push(Completion{ID: wr.ID, Op: OpRecv, Bytes: n, Buf: wr.Buf})
 	}

@@ -282,7 +282,9 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 	if mr.node != q.peer.owner {
 		panic("fabric: WRITE destination MR not on peer node")
 	}
-	sliceOf(dst, len(src)) // bounds-check now
+	// Bounds-check now and bind the destination window: commits land in
+	// this memory even if the region is deregistered before they fire.
+	dstBuf := sliceOf(dst, len(src))
 	q.owner.Compute(p, cfg.PostOverhead)
 
 	k := q.c.K
@@ -327,7 +329,6 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 	q.c.trace(OpWrite, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
 	n := len(src)
-	dstOff := dst.Off
 	if !fv.drop && !fv.duplicate {
 		// Steady-state path (no fault touches this WR): the whole stage/
 		// body/commit/ack pipeline rides one pooled op, so posting a WRITE
@@ -335,8 +336,8 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 		// below exactly — stage, body, commit, ack — keeping (at, seq)
 		// dispatch order byte-identical.
 		w := q.c.getWriteOp()
-		w.q, w.mr = q, mr
-		w.off, w.dstOff = off, dstOff
+		w.q, w.mr, w.dst = q, mr, dstBuf
+		w.off = off
 		w.n, w.body, w.tail = n, body, tail
 		w.copyPayload = cfg.CopyPayload
 		w.id = opts.ID
@@ -363,6 +364,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 			k.AtOp(bodyAt, w, wopBody)
 		}
 		k.AtOp(deliverAt, w, wopCommit)
+		q.c.touch(deliverAt)
 		q.lastCommit = deliverAt
 		signaled := opts.Signaled && !fv.dropCompletion
 		w.freeAtCommit = !signaled
@@ -397,6 +399,7 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 		// both). The final event of the last commit recycles the staging
 		// buffer.
 		commit := func(at sim.Time) {
+			q.c.touch(at)
 			if tail > 0 && body > 0 {
 				bodyAt := at - cfg.serialization(tail)
 				if bodyAt <= txEnd {
@@ -404,16 +407,16 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 				}
 				k.At(bodyAt, func() {
 					if q.c.cfg.CopyPayload {
-						copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
+						copy(dstBuf[:body], st.buf.b[off:off+body])
 					}
 				})
 			}
 			k.At(at, func() {
 				if q.c.cfg.CopyPayload && body > 0 && tail == 0 {
-					copy(mr.buf[dstOff:dstOff+body], st.buf.b[off:off+body])
+					copy(dstBuf[:body], st.buf.b[off:off+body])
 				}
 				if tail > 0 {
-					copy(mr.buf[dstOff+body:dstOff+n], st.buf.b[off+body:off+n])
+					copy(dstBuf[body:], st.buf.b[off+body:off+n])
 				}
 				mr.notify()
 				st.release(q.c)
@@ -449,12 +452,13 @@ func (q *QP) writeOne(p transport.Ctx, src []byte, dst Addr, opts WriteOptions, 
 // pipeline (see writeOne). Steps fire in scheduler context via sim.Op.
 type writeOp struct {
 	q   *QP
-	mr  *MemoryRegion
+	mr  *MemoryRegion // notified on commit
+	dst []byte        // the n-byte destination window, bound at post time
 	st  *stagedRef
 	own stagedRef // standalone WRITEs point st here (one ref, no alloc)
 	src []byte    // standalone WRITEs: snapshot source, read at txEnd
 
-	off, dstOff   int
+	off           int
 	n, body, tail int
 	id            uint64
 	copyPayload   bool
@@ -475,14 +479,14 @@ func (w *writeOp) RunOp(step uint8) {
 		w.st.buf = w.q.c.stagedGet(w.n)
 		stageInto(w.st.buf.b, w.src, w.body, w.copyPayload)
 	case wopBody:
-		copy(w.mr.buf[w.dstOff:w.dstOff+w.body], w.st.buf.b[w.off:w.off+w.body])
+		copy(w.dst[:w.body], w.st.buf.b[w.off:w.off+w.body])
 	case wopCommit:
 		b := w.st.buf.b
 		if w.copyPayload && w.body > 0 && w.tail == 0 {
-			copy(w.mr.buf[w.dstOff:w.dstOff+w.body], b[w.off:w.off+w.body])
+			copy(w.dst[:w.body], b[w.off:w.off+w.body])
 		}
 		if w.tail > 0 {
-			copy(w.mr.buf[w.dstOff+w.body:w.dstOff+w.n], b[w.off+w.body:w.off+w.n])
+			copy(w.dst[w.body:], b[w.off+w.body:w.off+w.n])
 		}
 		w.mr.notify()
 		w.st.release(w.q.c)
@@ -564,6 +568,7 @@ func (q *QP) Read(p transport.Ctx, dst []byte, src Addr, signaled bool, id uint6
 	r.id, r.signaled = id, signaled
 	k.AtOp(respStart, r, ropStage)
 	k.AtOp(deliverAt, r, ropDeliver)
+	q.c.touch(deliverAt)
 }
 
 // readOp is the pooled event payload driving the READ response pipeline:
@@ -689,6 +694,7 @@ func (q *QP) FetchAddChecked(p transport.Ctx, dst Addr, delta uint64) (uint64, b
 
 	q.c.trace(OpFetchAdd, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
 	var old uint64
+	q.c.touch(execEnd)
 	k.At(execEnd, func() {
 		old = le64(b)
 		putLE64(b, old+delta)
@@ -739,6 +745,7 @@ func (q *QP) CompareSwap(p transport.Ctx, dst Addr, expect, swap uint64) uint64 
 
 	q.c.trace(OpCompareSwap, q.owner, q.peer.owner, 8, k.Now(), execEnd, Delivered)
 	var old uint64
+	q.c.touch(execEnd)
 	k.At(execEnd, func() {
 		old = le64(b)
 		if old == expect {
@@ -764,6 +771,7 @@ func (q *QP) PostRecv(buf []byte, id uint64) {
 		return
 	}
 	q.recvq = append(q.recvq, RecvWR{Buf: buf, ID: id})
+	q.owner.postedRecvs++
 }
 
 // Send posts a two-sided SEND of src to the peer endpoint. The message is
@@ -804,6 +812,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 	q.c.trace(OpSend, q.owner, q.peer.owner, len(src), k.Now(), deliverAt, disp)
 
 	var staged []byte
+	q.c.touch(txEnd)
 	k.At(txEnd, func() {
 		staged = make([]byte, len(src))
 		if q.c.cfg.CopyPayload {
@@ -823,6 +832,7 @@ func (q *QP) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
 		if len(peer.recvq) > 0 {
 			wr := peer.recvq[0]
 			peer.recvq = peer.recvq[1:]
+			peer.owner.postedRecvs--
 			n := copy(wr.Buf, staged)
 			peer.rcq.push(Completion{ID: wr.ID, Op: OpRecv, Bytes: n, Value: id, Buf: wr.Buf})
 		} else {

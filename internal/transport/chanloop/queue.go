@@ -2,6 +2,7 @@ package chanloop
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"sync"
 	"time"
 
@@ -31,7 +32,7 @@ type Queue struct {
 }
 
 type arrival struct {
-	data []byte
+	data *stageBuf
 	id   uint64
 }
 
@@ -62,29 +63,31 @@ func (q *Queue) RecvCQ() transport.CompletionQueue { return q.rcq }
 
 // Write posts a one-sided WRITE of src into dst on the peer's region.
 // The source buffer is snapshotted synchronously (valid under the
-// selective-signaling contract); the commit happens on the worker, body
-// strictly before the CommitTail bytes, in one region-lock hold.
+// selective-signaling contract) into a recycled staging buffer; the
+// commit happens on the worker, body strictly before the CommitTail
+// bytes, in one region-lock hold, and then returns the buffer.
 func (q *Queue) Write(p transport.Ctx, src []byte, dst transport.Addr, opts transport.WriteOptions) {
-	staged := make([]byte, len(src))
-	copy(staged, src)
-	q.postWrite(staged, dst, opts)
+	sb := getStage(len(src))
+	copy(sb.b, src)
+	q.postWrite(sb, dst, opts)
 }
 
-// WriteBatch posts the given WRITEs back-to-back; one snapshot covers
-// the batch.
+// WriteBatch posts the given WRITEs back-to-back, each snapshotted as
+// by Write.
 func (q *Queue) WriteBatch(p transport.Ctx, wrs []transport.WriteWR) {
 	for i := range wrs {
 		q.Write(p, wrs[i].Src, wrs[i].Dst, wrs[i].Opts)
 	}
 }
 
-func (q *Queue) postWrite(staged []byte, dst transport.Addr, opts transport.WriteOptions) {
+func (q *Queue) postWrite(sb *stageBuf, dst transport.Addr, opts transport.WriteOptions) {
 	r := asRegion(dst)
 	if r.owner != q.peer.owner {
 		panic("chanloop: WRITE destination region not on peer endpoint")
 	}
 	posted := q.net.now()
 	q.ops <- func() {
+		staged := sb.b
 		off := dst.Off
 		n := len(staged)
 		tail := opts.CommitTail
@@ -100,6 +103,7 @@ func (q *Queue) postWrite(staged []byte, dst transport.Addr, opts transport.Writ
 				copy(buf[off+body:off+n], staged[body:])
 			}
 		})
+		putStage(sb)
 		q.net.trace(transport.OpWrite, q.owner.id, q.peer.owner.id, n, posted, q.net.now())
 		if opts.Signaled {
 			q.scq.push(transport.Completion{ID: opts.ID, Op: transport.OpWrite, Bytes: n})
@@ -199,26 +203,29 @@ func (q *Queue) CompareSwap(p transport.Ctx, dst transport.Addr, expect, swap ui
 // message arriving before a receive is posted waits in the peer's
 // arrival queue.
 func (q *Queue) Send(p transport.Ctx, src []byte, signaled bool, id uint64) {
-	staged := make([]byte, len(src))
-	copy(staged, src)
+	sb := getStage(len(src))
+	copy(sb.b, src)
+	n := len(src)
 	posted := q.net.now()
 	q.ops <- func() {
-		q.peer.deliver(staged, id)
-		q.net.trace(transport.OpSend, q.owner.id, q.peer.owner.id, len(staged), posted, q.net.now())
+		q.peer.deliver(sb, id)
+		q.net.trace(transport.OpSend, q.owner.id, q.peer.owner.id, n, posted, q.net.now())
 		if signaled {
-			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: len(staged)})
+			q.scq.push(transport.Completion{ID: id, Op: transport.OpSend, Bytes: n})
 		}
 	}
 }
 
-// deliver hands an arrived message to a posted receive, or queues it.
-func (q *Queue) deliver(data []byte, sendID uint64) {
+// deliver hands an arrived message (a staging buffer, which deliver now
+// owns) to a posted receive, or queues it.
+func (q *Queue) deliver(data *stageBuf, sendID uint64) {
 	q.rmu.Lock()
 	if len(q.recvq) > 0 {
 		wr := q.recvq[0]
 		q.recvq = q.recvq[1:]
 		q.rmu.Unlock()
-		n := copy(wr.Buf, data)
+		n := copy(wr.Buf, data.b)
+		putStage(data)
 		q.rcq.push(transport.Completion{ID: wr.ID, Op: transport.OpRecv, Bytes: n, Value: sendID, Buf: wr.Buf})
 		return
 	}
@@ -234,10 +241,79 @@ func (q *Queue) PostRecv(buf []byte, id uint64) {
 		a := q.arrived[0]
 		q.arrived = q.arrived[1:]
 		q.rmu.Unlock()
-		n := copy(buf, a.data)
+		n := copy(buf, a.data.b)
+		putStage(a.data)
 		q.rcq.push(transport.Completion{ID: id, Op: transport.OpRecv, Bytes: n, Value: a.id, Buf: buf})
 		return
 	}
 	q.recvq = append(q.recvq, transport.RecvWR{Buf: buf, ID: id})
 	q.rmu.Unlock()
+}
+
+// stageBuf boxes a staging buffer. Ops capture the 8-byte pointer
+// rather than the 24-byte slice, which keeps every posted op's closure
+// one size class smaller.
+type stageBuf struct{ b []byte }
+
+// stagePool recycles the snapshots WRITEs and SENDs take at post time:
+// one free list per power-of-two capacity class. Posters take buffers
+// and workers return them once the commit or delivery has copied them
+// out, so a streaming flow reuses a handful of buffers instead of
+// allocating one per segment.
+//
+// The pool is process-wide rather than per Net, because a Net lives only
+// as long as the flows built on it (tests and benchmarks make one per
+// run) and a per-Net list would start empty every time. It is a locked
+// slice, not a sync.Pool: a GC cycle empties a sync.Pool, and under the
+// race detector it drops Puts at random, so reuse — and the allocation
+// bound that tests it — would depend on timing. Each class retains at
+// most stageRetain bytes (at least one buffer); the rest are left to the
+// collector.
+var stagePool struct {
+	mu   sync.Mutex
+	free [28][]*stageBuf
+}
+
+const stageRetain = 8 << 20
+
+// getStage returns a staging buffer of length n with unspecified
+// contents.
+func getStage(n int) *stageBuf {
+	if n <= 0 {
+		return &stageBuf{}
+	}
+	class := bits.Len(uint(n - 1))
+	if class >= len(stagePool.free) {
+		return &stageBuf{b: make([]byte, n)}
+	}
+	stagePool.mu.Lock()
+	if fl := stagePool.free[class]; len(fl) > 0 {
+		sb := fl[len(fl)-1]
+		fl[len(fl)-1] = nil
+		stagePool.free[class] = fl[:len(fl)-1]
+		stagePool.mu.Unlock()
+		sb.b = sb.b[:n]
+		return sb
+	}
+	stagePool.mu.Unlock()
+	return &stageBuf{b: make([]byte, n, 1<<class)}
+}
+
+// putStage recycles a buffer from getStage; the caller must not touch it
+// again. Buffers whose capacity is not a size class are left to the
+// collector.
+func putStage(sb *stageBuf) {
+	c := cap(sb.b)
+	if c == 0 || c&(c-1) != 0 {
+		return
+	}
+	class := bits.Len(uint(c)) - 1
+	if class >= len(stagePool.free) {
+		return
+	}
+	stagePool.mu.Lock()
+	if fl := stagePool.free[class]; len(fl) == 0 || (len(fl)+1)<<class <= stageRetain {
+		stagePool.free[class] = append(fl, sb)
+	}
+	stagePool.mu.Unlock()
 }

@@ -68,7 +68,11 @@ type Region interface {
 	Bytes() []byte
 	// Owner returns the endpoint the region is registered on.
 	Owner() Endpoint
-	// Deregister releases the region's registration.
+	// Deregister releases the region's registration; the backend may
+	// hand its memory to a later region, zeroed. Afterwards Bytes must
+	// not be used (nor slices obtained from it earlier), and no new
+	// operation may reference the region. Operations already in flight
+	// complete normally. A second call is a no-op.
 	Deregister()
 	// Store copies src into the region at off, synchronized with remote
 	// verbs (a local store on the owning endpoint — free on RDMA).

@@ -2,8 +2,9 @@
 // must pass: one table of semantic tests — per-queue write ordering with
 // commit-tail visibility, fetch-add serialization returning unique old
 // values, reliable two-sided send/recv, CQ signaled-only completions,
-// and multicast drop-without-posted-recv — executed against a
-// backend-supplied environment. The DES fabric and chanloop both run it
+// multicast drop-without-posted-recv and zeroed reopened regions —
+// executed against a backend-supplied environment. The DES fabric and
+// chanloop both run it
 // (internal/fabric/conformance_test.go,
 // internal/transport/chanloop/conformance_test.go); a future socket
 // backend passes by wiring up NewEnv.
@@ -52,6 +53,7 @@ func Run(t *testing.T, newEnv NewEnv) {
 		{"BurstPollOrdering", testBurstPoll},
 		{"ReadBack", testReadBack},
 		{"MulticastDropWithoutRecv", testMulticastDrop},
+		{"ReopenedRegionReadsZero", testReopenedRegionZero},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -357,6 +359,41 @@ func testReadBack(t *testing.T, env Env) {
 		}
 		if string(dst2) != "remote" {
 			t.Errorf("async read got %q", dst2)
+		}
+	})
+	env.Run()
+}
+
+// testReopenedRegionZero pins the region lifecycle: a region opened right
+// after a same-size region was dirtied (locally and by a remote WRITE)
+// and deregistered reads all zeros, whether or not the backend recycles
+// the old memory.
+func testReopenedRegionZero(t *testing.T, env Env) {
+	const size = 4096
+	qa, _ := env.T.Dial(env.EP[0], env.EP[1])
+
+	env.Go("owner", func(p transport.Ctx) {
+		fill := make([]byte, size)
+		for i := range fill {
+			fill[i] = byte(i) | 1
+		}
+		old := env.T.OpenRegion(env.EP[1], size)
+		old.Store(0, fill)
+		qa.Write(p, fill[:256], transport.Addr{MR: old, Off: size - 256},
+			transport.WriteOptions{Signaled: true, ID: 1})
+		if c, ok := qa.SendCQ().WaitTimeout(p, waitFor); !ok || c.ID != 1 {
+			t.Errorf("write completion: got (%+v,%v)", c, ok)
+			return
+		}
+		old.Deregister()
+		p.Sleep(time.Microsecond)
+		got := make([]byte, size)
+		env.T.OpenRegion(env.EP[1], size).Load(0, got)
+		for i, b := range got {
+			if b != 0 {
+				t.Errorf("reopened region byte %d = %#x, want 0 (stale bytes of a deregistered region)", i, b)
+				return
+			}
 		}
 	})
 	env.Run()
