@@ -102,7 +102,7 @@ transport-race:
 # baseline file (history stays frozen). All outputs land under the
 # ignored bench/ directory so a run can never dirty the tree.
 BENCH_PATTERN ?= Fig7aShuffleBandwidth|Fig8aReplicateNaive|Fig8bReplicateMulticast|Fig11CollectiveShuffle|ChanloopShuffle
-BENCH_FILE ?= BENCH_PR13.json
+BENCH_FILE ?= BENCH_PR14.json
 BENCH_DIR ?= bench
 
 bench:

@@ -1,8 +1,10 @@
 package registry
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
+	"slices"
 	"sort"
 	"time"
 
@@ -243,7 +245,7 @@ func (s *Sharded) Status() *ClusterStatus {
 			merged.T = st.T
 		}
 	}
-	sort.Slice(merged.Flows, func(i, j int) bool { return merged.Flows[i].Name < merged.Flows[j].Name })
+	slices.SortFunc(merged.Flows, func(a, b FlowStatus) int { return cmp.Compare(a.Name, b.Name) })
 	return merged
 }
 

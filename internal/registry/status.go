@@ -1,7 +1,8 @@
 package registry
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 
 	"dfi/internal/metrics"
@@ -94,7 +95,7 @@ func (r *Registry) statusChanged() {
 	for n := range r.flows {
 		names = append(names, n)
 	}
-	sort.Strings(names)
+	slices.Sort(names)
 	for _, n := range names {
 		e := r.flows[n]
 		fs := FlowStatus{Name: n, TargetsPublished: len(e.targets)}
@@ -109,12 +110,11 @@ func (r *Registry) statusChanged() {
 					Watermark:   l.watermark,
 				})
 			}
-			sort.Slice(fs.Endpoints, func(i, j int) bool {
-				a, b := fs.Endpoints[i], fs.Endpoints[j]
-				if a.Role != b.Role {
-					return a.Role < b.Role
+			slices.SortFunc(fs.Endpoints, func(a, b EndpointStatus) int {
+				if c := cmp.Compare(a.Role, b.Role); c != 0 {
+					return c
 				}
-				return a.Slot < b.Slot
+				return cmp.Compare(a.Slot, b.Slot)
 			})
 		}
 		st.Flows = append(st.Flows, fs)

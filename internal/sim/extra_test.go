@@ -146,40 +146,6 @@ func TestCondWaitTimeoutExactness(t *testing.T) {
 	}
 }
 
-func TestChanSendOnClosedPanics(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 1)
-	ch.Close()
-	k.Spawn("p", func(p *Proc) {
-		defer func() {
-			if recover() == nil {
-				t.Error("send on closed Chan did not panic")
-			}
-		}()
-		ch.Send(p, 1)
-	})
-	_ = k.Run()
-}
-
-func TestChanLen(t *testing.T) {
-	k := New(1)
-	ch := NewChan[int](k, 4)
-	k.Spawn("p", func(p *Proc) {
-		ch.Send(p, 1)
-		ch.Send(p, 2)
-		if ch.Len() != 2 {
-			t.Errorf("Len = %d", ch.Len())
-		}
-		ch.Recv(p)
-		if ch.Len() != 1 {
-			t.Errorf("Len = %d after recv", ch.Len())
-		}
-	})
-	if err := k.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSpawnFromEventCallback(t *testing.T) {
 	k := New(1)
 	ran := false

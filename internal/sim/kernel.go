@@ -2,19 +2,22 @@
 // kernel with cooperatively scheduled processes.
 //
 // The kernel maintains a virtual clock and an event heap. Exactly one
-// goroutine — either the scheduler or a single simulated process — runs at
-// any moment, handing control back and forth over unbuffered channels
-// ("baton passing"). This makes the simulation deterministic for a given
+// thread of control — either the scheduler or a single simulated process —
+// runs at any moment: each process body runs on a coroutine (iter.Pull),
+// the scheduler resumes it directly and it yields straight back when it
+// blocks or exits. This makes the simulation deterministic for a given
 // seed and spawn order, and lets event callbacks mutate shared simulation
 // state (e.g. simulated RDMA memory regions) without locks.
 //
 // Processes are ordinary functions of the form func(*Proc). Inside a
-// process, blocking operations (Sleep, channel operations, resource
-// acquisition, condition waits) advance virtual time; plain Go code runs
-// instantaneously in virtual time.
+// process, blocking operations (Sleep, condition waits, resource
+// acquisition, barriers) advance virtual time; plain Go code runs
+// instantaneously in virtual time. A process that panics ends Run with an
+// error; one that calls runtime.Goexit (as t.FailNow does) ends the
+// goroutine that called Run.
 //
-// A kernel is never shared across goroutines outside this baton passing;
-// host parallelism means independent kernels, one per goroutine.
+// A kernel is never shared across goroutines; host parallelism means
+// independent kernels, one per goroutine.
 //
 // The kernel is the substrate for the simulated RDMA fabric
 // (dfi/internal/fabric) on which the DFI flow implementation runs.
@@ -94,13 +97,11 @@ type Kernel struct {
 	events  []event   // value-based binary min-heap ordered by (at, seq)
 	tmos    []timeout // indexed min-heap of pending WaitTimeout deadlines
 	seq     uint64
-	yield   chan struct{} // process -> scheduler handoff
 	running *Proc
 	rng     *rand.Rand
 
-	parked  map[*Proc]struct{} // processes blocked on a primitive
-	nlive   int                // spawned minus exited
-	failure error              // first process panic, surfaced by Run
+	live    []*Proc // spawned and not yet exited, indexed by Proc.liveIdx
+	failure error   // first process panic, surfaced by Run
 
 	// MaxEvents aborts Run with an error after this many events, guarding
 	// against livelocks (e.g. an unbounded poll loop). Zero means no limit.
@@ -117,9 +118,7 @@ type Kernel struct {
 // identically.
 func New(seed int64) *Kernel {
 	return &Kernel{
-		yield:     make(chan struct{}),
 		rng:       rand.New(rand.NewSource(seed)),
-		parked:    make(map[*Proc]struct{}),
 		MaxEvents: 2_000_000_000,
 	}
 }
@@ -288,37 +287,22 @@ func (k *Kernel) AtOp(t Time, op Op, step uint8) {
 
 // Spawn creates a new process executing fn and schedules it to start at the
 // current virtual time. It may be called before Run or from a running
-// process or event callback.
+// process or event callback. The process gets its coroutine when it is
+// first dispatched.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) {
-	p := &Proc{k: k, name: name, resume: make(chan struct{}), tmoIdx: -1}
-	k.nlive++
-	go func() {
-		<-p.resume // wait for first scheduling
-		defer func() {
-			if r := recover(); r != nil {
-				if k.failure == nil {
-					k.failure = fmt.Errorf("sim: process %q panicked: %v", p.name, r)
-				}
-			}
-			p.exited = true
-			k.nlive--
-			k.yield <- struct{}{}
-		}()
-		fn(p)
-	}()
+	p := &Proc{k: k, name: name, fn: fn, tmoIdx: -1, liveIdx: len(k.live)}
+	k.live = append(k.live, p)
 	k.push(event{at: k.now, kind: evStart, p: p})
 }
 
-// switchTo transfers control to p and blocks until p parks or exits. Must be
-// called from scheduler context.
-func (k *Kernel) switchTo(p *Proc) {
-	if p.exited {
-		return
-	}
-	k.running = p
-	p.resume <- struct{}{}
-	<-k.yield
-	k.running = nil
+// unlink drops an exited process from the live set (swap-remove).
+func (k *Kernel) unlink(p *Proc) {
+	n := len(k.live) - 1
+	last := k.live[n]
+	k.live[p.liveIdx] = last
+	last.liveIdx = p.liveIdx
+	k.live[n] = nil
+	k.live = k.live[:n]
 }
 
 // ready schedules p to resume at the current virtual time. gen guards
@@ -362,7 +346,6 @@ func (k *Kernel) dispatch(e *event) {
 			return
 		}
 		p.parkedFlag = false
-		delete(k.parked, p)
 		k.switchTo(p)
 	case evTimeout:
 		p := e.p
@@ -398,7 +381,7 @@ func (k *Kernel) Run() error {
 		k.nevents++
 		k.dispatch(&e)
 	}
-	if k.nlive > 0 {
+	if len(k.live) > 0 {
 		return k.deadlockErr()
 	}
 	return nil
@@ -406,22 +389,26 @@ func (k *Kernel) Run() error {
 
 // deadlockErr describes live-but-parked processes once the heaps drained.
 func (k *Kernel) deadlockErr() error {
-	names := make([]string, 0, len(k.parked))
-	for p := range k.parked {
-		names = append(names, p.name)
+	var names []string
+	for _, p := range k.live {
+		if p.parkedFlag {
+			names = append(names, p.name)
+		}
 	}
 	sort.Strings(names)
-	return fmt.Errorf("sim: deadlock at t=%v: %d live processes, parked: %v", k.now, k.nlive, names)
+	return fmt.Errorf("sim: deadlock at t=%v: %d live processes, parked: %v", k.now, len(k.live), names)
 }
 
 // Proc is a simulated process (the unit of thread-centric execution). All
-// methods must be called from the process's own goroutine while it is the
+// methods must be called from the process's own body while it is the
 // running process.
 type Proc struct {
-	k      *Kernel
-	name   string
-	resume chan struct{}
+	k    *Kernel
+	name string
+	fn   func(*Proc)
+	r    *runner // coroutine executing fn; nil before the first dispatch and after exit
 
+	liveIdx    int // index in Kernel.live
 	parkedFlag bool
 	parkGen    uint64
 	exited     bool
@@ -446,17 +433,6 @@ func (p *Proc) checkRunning() {
 	}
 }
 
-// park blocks the process until woken via Kernel.ready with the returned
-// generation. Callers must have registered themselves with a waker first.
-func (p *Proc) park() {
-	p.checkRunning()
-	p.parkedFlag = true
-	p.parkGen++
-	p.k.parked[p] = struct{}{}
-	p.k.yield <- struct{}{}
-	<-p.resume
-}
-
 // nextGen returns the park generation the upcoming park will use; wakers
 // registered before parking must target this generation.
 func (p *Proc) nextGen() uint64 { return p.parkGen + 1 }
@@ -470,8 +446,8 @@ func (p *Proc) Sleep(d Time) {
 	}
 	k := p.k
 	t := k.now + d
-	// Run-to-completion fast paths. Parking costs two events and four
-	// channel handoffs, so avoid it whenever doing so is observably
+	// Run-to-completion fast paths. Parking costs two events and two
+	// coroutine switches, so avoid it whenever doing so is observably
 	// identical to the park/dispatch/resume dance:
 	//
 	//  1. If nothing can run before the wake-up time, advance the clock in
@@ -481,7 +457,7 @@ func (p *Proc) Sleep(d Time) {
 	//     or evOp — code that never blocks and has no process identity),
 	//     dispatch it inline on this process's stack and loop. This is
 	//     what lets a writer's flush absorb the commit/ack pipeline of
-	//     prior segments without a single goroutine switch.
+	//     prior segments without a single process switch.
 	//
 	// Anything else — a process transition (start/timer/wake/timeout), a
 	// tie at exactly t, the deadline, the event budget — parks, so Run

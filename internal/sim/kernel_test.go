@@ -117,9 +117,18 @@ func TestDeadlockDetection(t *testing.T) {
 	k := New(1)
 	c := NewCond(k)
 	k.Spawn("stuck", func(p *Proc) { c.Wait(p) })
+	k.Spawn("done", func(p *Proc) { p.Sleep(time.Microsecond) })
+	k.Spawn("also-stuck", func(p *Proc) {
+		p.Sleep(2 * time.Microsecond)
+		c.Wait(p)
+	})
 	err := k.Run()
 	if err == nil {
 		t.Fatal("expected deadlock error")
+	}
+	want := "sim: deadlock at t=2µs: 2 live processes, parked: [also-stuck stuck]"
+	if err.Error() != want {
+		t.Fatalf("err = %q, want %q", err, want)
 	}
 }
 

@@ -1,7 +1,7 @@
 package sim
 
 // This file provides the blocking primitives simulated processes use to
-// coordinate: conditions, channels, counting resources, and wait groups.
+// coordinate: conditions, counting resources, wait groups and barriers.
 // All of them are safe only within a single kernel (the simulation is
 // single-threaded by construction).
 
@@ -95,71 +95,6 @@ func (c *Cond) Broadcast() {
 // condition.
 func (c *Cond) Waiters() int { return len(c.waiters) }
 
-// Chan is a simulated channel carrying values of type T with an optional
-// buffer. Send and Recv block in virtual time like Go channels do in real
-// time.
-type Chan[T any] struct {
-	k      *Kernel
-	buf    []T
-	cap    int
-	closed bool
-
-	sendq *Cond
-	recvq *Cond
-}
-
-// NewChan returns a channel with the given buffer capacity (0 means
-// rendezvous semantics approximated by a capacity-0 buffer with wake-based
-// handoff).
-func NewChan[T any](k *Kernel, capacity int) *Chan[T] {
-	return &Chan[T]{k: k, cap: capacity, sendq: NewCond(k), recvq: NewCond(k)}
-}
-
-// Send enqueues v, blocking while the buffer is full. Sending on a closed
-// channel panics, matching Go semantics.
-func (c *Chan[T]) Send(p *Proc, v T) {
-	for !c.closed && c.cap > 0 && len(c.buf) >= c.cap {
-		c.sendq.Wait(p)
-	}
-	if c.closed {
-		panic("sim: send on closed Chan")
-	}
-	c.buf = append(c.buf, v)
-	c.recvq.Signal()
-	if c.cap == 0 {
-		// Rendezvous: wait until a receiver drains the element.
-		for len(c.buf) > 0 && !c.closed {
-			c.sendq.Wait(p)
-		}
-	}
-}
-
-// Recv dequeues a value, blocking while the channel is empty. ok is false
-// if the channel is closed and drained.
-func (c *Chan[T]) Recv(p *Proc) (v T, ok bool) {
-	for len(c.buf) == 0 && !c.closed {
-		c.recvq.Wait(p)
-	}
-	if len(c.buf) == 0 {
-		var zero T
-		return zero, false
-	}
-	v = c.buf[0]
-	c.buf = c.buf[1:]
-	c.sendq.Broadcast()
-	return v, true
-}
-
-// Len returns the number of buffered values.
-func (c *Chan[T]) Len() int { return len(c.buf) }
-
-// Close marks the channel closed, waking all blocked receivers and senders.
-func (c *Chan[T]) Close() {
-	c.closed = true
-	c.recvq.Broadcast()
-	c.sendq.Broadcast()
-}
-
 // Resource models a server with fixed capacity and a FIFO queue, e.g. a
 // latch (capacity 1) or a pool of service slots. Acquire blocks until a
 // unit is free.
@@ -194,15 +129,6 @@ func (r *Resource) Release() {
 	}
 	r.inUse--
 	r.queue.Signal()
-}
-
-// Use acquires a unit, holds it for d of virtual time, and releases it.
-// This models serialized service (e.g. a latch held for a critical
-// section).
-func (r *Resource) Use(p *Proc, d Time) {
-	r.Acquire(p)
-	p.Sleep(d)
-	r.Release()
 }
 
 // WaitGroup mirrors sync.WaitGroup for simulated processes.
